@@ -18,11 +18,18 @@ import json
 
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
+from repro.fabric import make_network
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, Splash2Workload, SyntheticWorkload
 from repro.harness.report import point_to_dict, stats_to_dict
 from repro.harness.runner import run
 from repro.harness.sweeps import latency_vs_injection
+from repro.obs.tracers import CollectingTracer
+from repro.sim.engine import SimulationEngine
+from repro.sim.stats import NetworkStats
+from repro.traffic.injection import BernoulliInjector
+from repro.traffic.patterns import pattern_by_name
+from repro.traffic.trace import SyntheticSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VECTORIZED_CALIBRATION, VectorizedConfig
 
@@ -190,3 +197,61 @@ def test_fig10_splash2_stats_byte_identical():
         result = run(RunSpec(config, Splash2Workload("radix"), cycles=300, seed=2))
         hashes[label] = canonical_sha(stats_to_dict(result.stats))
     assert hashes == FIG10_HASHES
+
+
+# Electrical-engine pins beyond Fig 9 uniform / Fig 10 radix: the
+# nack/retry path, VCTM broadcast replication and the per-router departure
+# order (which fixes arrival, ejection and latency-accumulation order).
+ELE_FAULTED_STATS_SHA = (
+    "c75d8e41e71ef07af62253d4c318fd9d768c90ea502b5cde819ced6c8d92a9be"
+)
+ELE_OCEAN_STATS_SHA = (
+    "5eae9777850a273ef197f10dffd7edd95bff6a37d78cf621e8312761fc6e3be7"
+)
+ELE_HOTSPOT_EVENTS_SHA = (
+    "728263b74a158d3b49ce7830689893c90b7a7c85a2b5573e987b589ca5da1459"
+)
+
+
+def test_electrical_faulted_stats_byte_identical():
+    faults = FaultConfig(seed=5, link_flip_prob=0.02)
+    result = run(
+        RunSpec(
+            ELE, SyntheticWorkload("uniform", 0.1), cycles=300, seed=1, faults=faults
+        )
+    )
+    assert result.stats.retransmissions > 0
+    assert canonical_sha(stats_to_dict(result.stats)) == ELE_FAULTED_STATS_SHA
+
+
+def test_electrical_ocean_stats_byte_identical():
+    result = run(RunSpec(ELE, Splash2Workload("ocean"), cycles=300, seed=2))
+    assert result.stats.multicast_packets > 0
+    assert canonical_sha(stats_to_dict(result.stats)) == ELE_OCEAN_STATS_SHA
+
+
+def test_electrical_hotspot_event_stream_byte_identical():
+    """Ordered ``(kind, cycle, node, uid)`` of a traced hotspot run.
+
+    Flit uids come from a process-global counter, so each uid is replaced
+    by the order of its first appearance (``-1`` stays ``-1``).
+    """
+    source = SyntheticSource(
+        pattern_by_name("hotspot", MESH),
+        lambda: BernoulliInjector(0.2),
+        seed=1,
+        stop_cycle=300,
+    )
+    network = make_network(ELE, source, NetworkStats(measurement_start=60))
+    tracer = CollectingTracer()
+    network.add_tracer(tracer)
+    engine = SimulationEngine()
+    engine.register(network)
+    engine.run(300)
+    ranks: dict[int, int] = {-1: -1}
+    stream = []
+    for event in tracer.events:
+        uid = ranks.setdefault(event.uid, len(ranks) - 1)
+        stream.append((event.kind, event.cycle, event.node, uid))
+    assert any(kind == "delivered" for kind, *_ in stream)
+    assert canonical_sha(stream) == ELE_HOTSPOT_EVENTS_SHA
