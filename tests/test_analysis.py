@@ -14,7 +14,7 @@ The two load-bearing guarantees (ISSUE 10 acceptance criteria):
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -51,8 +51,12 @@ from repro.traffic.trace import (
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig, as_phastlane
 
+from helpers import examples
+
 SLOW = settings(
-    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(10),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 mesh_shapes = st.sampled_from([(2, 2), (4, 4), (4, 2), (3, 5)])
@@ -114,6 +118,8 @@ class TestExactSumLaw:
         fault_models,
         st.integers(0, 1000),
     )
+    # Undrained, this faulted run delivered nothing and the law was vacuous.
+    @example((2, 2), 1, 2, FaultConfig(seed=2, link_flip_prob=0.05, retry_limit=5), 1)
     def test_phastlane_components_sum_to_latency(
         self, shape, max_hops, buffers, faults, seed
     ):
@@ -122,9 +128,11 @@ class TestExactSumLaw:
         config = PhastlaneConfig(
             mesh=mesh, max_hops_per_cycle=max_hops, buffer_entries=buffers
         )
+        # Faulted runs drain too: retry_limit bounds every packet's fate
+        # (delivered or abandoned), so the bounded drain terminates.
         events, _ = traced_run(
             config, TraceSource(trace), trace.last_cycle + 1, faults=faults,
-            drain=faults is None,
+            drain=True,
         )
         assert_exact_sum(reconstruct_spans(events, link_delay=0))
 

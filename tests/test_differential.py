@@ -49,6 +49,8 @@ from repro.vectorized import (
 )
 from repro.vectorized.plans import compile_plan, neighbor_table
 
+from helpers import examples
+
 # -- helpers -----------------------------------------------------------------
 
 
@@ -102,7 +104,9 @@ def drive(config, source, *, faults=None, tracer=None, cycles=None):
 # -- exact mode: bit-identity under fuzzed RunSpecs --------------------------
 
 DIFF = settings(
-    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(12),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 #: Square/power-of-two shapes so every pattern below is well-defined.

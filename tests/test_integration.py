@@ -16,7 +16,7 @@ from repro.electrical.network import ElectricalNetwork
 from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 
-from helpers import drain
+from helpers import drain, examples
 
 MESH = MeshGeometry(4, 4)
 
@@ -56,7 +56,11 @@ def run_both(trace: Trace):
 
 
 class TestDeliveryEquivalence:
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=examples(20),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(random_trace_strategy())
     def test_both_networks_deliver_everything_exactly_once(self, trace):
         optical, electrical = run_both(trace)
@@ -64,13 +68,21 @@ class TestDeliveryEquivalence:
         assert optical.stats.packets_delivered == expected
         assert electrical.stats.packets_delivered == expected
 
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=examples(10),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(random_trace_strategy())
     def test_electrical_never_drops(self, trace):
         _, electrical = run_both(trace)
         assert electrical.stats.packets_dropped == 0
 
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=examples(10),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(random_trace_strategy(max_events=10))
     def test_optical_faster_at_light_load(self, trace):
         if len(trace) == 0:

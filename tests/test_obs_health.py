@@ -9,6 +9,7 @@ import pytest
 from repro.core.config import PhastlaneConfig
 from repro.electrical.config import ElectricalConfig
 from repro.electrical.network import ElectricalNetwork
+from repro.electrical.router import ElectricalRouter
 from repro.faults import FaultConfig
 from repro.harness.exec import RunSpec, SyntheticWorkload
 from repro.harness.report import result_from_dict, result_to_dict
@@ -176,6 +177,31 @@ class TestCreditLeakCheck:
         assert len(findings) == 1
         assert findings[0].node == 5
         assert "double credit" in findings[0].message
+
+    def test_credit_leaked_mid_run_is_caught(self, monkeypatch):
+        """Swallow the first credit return of a real run: the audit, reading
+        the router's live credit and VC state, must flag that credit."""
+        restore = ElectricalRouter.restore_credit
+        leaked = []
+
+        def leaky_restore(router, output_port, vc):
+            if not leaked:
+                leaked.append((router.node, output_port, vc))
+                return
+            restore(router, output_port, vc)
+
+        monkeypatch.setattr(ElectricalRouter, "restore_credit", leaky_restore)
+        report = run(spec(ELECTRICAL, obs=ObsConfig(health=True))).health
+        assert leaked
+        node, port, vc = leaked[0]
+        assert report.checks["credit_leak"]["status"] == "critical"
+        assert any(
+            finding.check == "credit_leak"
+            and finding.node == node
+            and f"credit leaked on port {Direction(port).name} vc {vc}:"
+            in finding.message
+            for finding in report.findings
+        )
 
     def test_findings_capped_per_window(self):
         network = ElectricalNetwork(ELECTRICAL)

@@ -25,8 +25,12 @@ from repro.traffic.trace import Trace, TraceEvent, TraceSource
 from repro.util.geometry import MeshGeometry
 from repro.vectorized import VectorizedConfig
 
+from helpers import examples
+
 SLOW = settings(
-    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(15),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 mesh_shapes = st.sampled_from([(2, 2), (4, 4), (4, 2), (8, 8), (3, 5)])
@@ -208,7 +212,9 @@ fault_models = st.sampled_from(
 )
 
 FAULT_SETTINGS = settings(
-    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(10),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
